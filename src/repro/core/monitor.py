@@ -30,6 +30,23 @@ def linear_regression_slope(values: list[float] | np.ndarray) -> float:
     return float(np.sum(x_centered * (values - values.mean())) / denominator)
 
 
+def windowed_slopes(windows) -> list[float]:
+    """:func:`linear_regression_slope` of equal-length windows in one array pass.
+
+    Row-wise reductions over a ``(windows, length)`` array run the same
+    summation as the 1-D calls, so each slope is bitwise-equal to the scalar
+    function's.
+    """
+    values = np.array(windows, dtype=float)
+    if values.shape[1] < 2:
+        return [0.0] * len(values)
+    x = np.arange(values.shape[1], dtype=float)
+    x_centered = x - x.mean()
+    denominator = float(np.sum(x_centered ** 2))
+    centered = values - values.mean(axis=1, keepdims=True)
+    return (np.sum(x_centered * centered, axis=1) / denominator).tolist()
+
+
 @dataclass(frozen=True)
 class SlopeReport:
     """Slopes computed over the current window."""
@@ -82,11 +99,10 @@ class SlopeMonitor:
 
     def report(self) -> SlopeReport:
         """Current slopes and readiness flags."""
+        slopes = windowed_slopes([self._mixed_window, *self._individual_windows])
         return SlopeReport(
-            mixed_slope=linear_regression_slope(list(self._mixed_window)),
-            individual_slopes=tuple(
-                linear_regression_slope(list(window)) for window in self._individual_windows
-            ),
+            mixed_slope=slopes[0],
+            individual_slopes=tuple(slopes[1:]),
             window_filled=len(self._mixed_window) >= self.window_size,
             past_warmup=self._iterations_recorded >= self.warmup_iterations,
         )

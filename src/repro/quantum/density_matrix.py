@@ -204,12 +204,8 @@ class DensityMatrix:
         """Tr(rho H)."""
         if operator.num_qubits != self.num_qubits:
             raise ValueError("qubit-count mismatch")
-        value = 0.0 + 0.0j
-        for pauli, coeff in operator.items():
-            if coeff == 0:
-                continue
-            value += coeff * np.trace(self._data @ pauli.to_matrix())
-        return float(value.real)
+        engine = compiled_pauli_operator(operator)
+        return float(engine.coefficients @ engine.expectation_values_density(self._data))
 
     def fidelity_with_pure(self, state: Statevector) -> float:
         """<psi|rho|psi> for a pure reference state."""
@@ -296,25 +292,12 @@ class DensityMatrixSimulator:
     ) -> float:
         """Tr(rho H) with readout error folded into Z-basis expectations."""
         state = self.run(circuit, initial_state)
-        value = state.expectation(operator)
-        if self.noise_model.readout_error > 0:
-            value = self._apply_readout_error(state, operator)
-        return value
-
-    def _apply_readout_error(self, state: DensityMatrix, operator: PauliOperator) -> float:
-        """Contract each Pauli term by (1-2p)^weight to model symmetric readout flips."""
-        p = self.noise_model.readout_error
-        value = 0.0
-        for pauli, coeff in operator.items():
-            if coeff == 0:
-                continue
-            if pauli.is_identity:
-                value += coeff.real
-                continue
-            contraction = (1.0 - 2.0 * p) ** pauli.weight
-            term = np.trace(state._data @ pauli.to_matrix()).real
-            value += coeff.real * contraction * term
-        return float(value)
+        if self.noise_model.readout_error == 0:
+            return state.expectation(operator)
+        # Each term contracts by (1-2p)^weight under symmetric readout flips.
+        engine = compiled_pauli_operator(operator)
+        vector = noisy_term_vector(engine, state._data, self.noise_model.readout_error)
+        return float(engine.coefficients @ vector)
 
 
 class DensityMatrixBackend(ExecutionBackend):

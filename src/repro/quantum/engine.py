@@ -7,14 +7,10 @@ small NumPy calls per term; this module instead compiles an operator **once**
 into flat index/sign tables and evaluates **all terms in one vectorized
 pass** over the 2^n amplitudes.
 
-The compilation exploits the fact that every Pauli string acts on a
-computational basis state |b> as
-
-    P |b> = i^{n_Y} * (-1)^{popcount(b & phase_mask)} * |b XOR flip_mask>,
-
-where ``flip_mask`` has a bit for every X/Y factor, ``phase_mask`` has a bit
-for every Y/Z factor, and ``n_Y`` counts the Y factors.  The expectation value
-of term ``t`` is therefore
+The tables come from each term's symplectic encoding
+(:attr:`~repro.quantum.pauli.PauliString.symplectic`,
+``P|b> = i^{n_Y} (-1)^{popcount(b & z)} |b ^ f>``), so the expectation value
+of term ``t`` is
 
     <psi|P_t|psi> = i^{n_Y_t} * sum_b conj(psi[b ^ f_t]) * s_t[b] * psi[b],
 
@@ -46,7 +42,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .pauli import PauliOperator, PauliString
+from .pauli import PauliOperator, PauliString, _popcount
 
 __all__ = ["CompiledPauliOperator", "compiled_pauli_operator", "pauli_evaluator"]
 
@@ -61,49 +57,14 @@ _MAX_COMPILED_QUBITS = 16
 _MAX_COMPILED_ELEMENTS = 1 << 23
 
 
-def _coerce_terms(
-    paulis: Iterable[PauliString | str],
-    coefficients: Sequence[complex] | np.ndarray | None,
-    num_qubits: int | None,
-) -> tuple[tuple[PauliString, ...], int, np.ndarray]:
-    """Shared term/coefficient validation for both evaluator types."""
-    terms = tuple(p if isinstance(p, PauliString) else PauliString(p) for p in paulis)
-    if terms:
-        num_qubits = terms[0].num_qubits
-        for pauli in terms:
-            if pauli.num_qubits != num_qubits:
-                raise ValueError("all terms must share the qubit count")
-    elif num_qubits is None:
-        raise ValueError("num_qubits required for an empty term list")
-    if coefficients is None:
-        real_coefficients = np.zeros(len(terms))
-    else:
-        real_coefficients = np.asarray(coefficients, dtype=complex).real.astype(float)
-        if real_coefficients.shape != (len(terms),):
-            raise ValueError("coefficients must align with the term list")
-    return terms, int(num_qubits), real_coefficients
-
-
 def _as_amplitudes(state) -> np.ndarray:
     """Flat complex amplitude array from a Statevector or array-like."""
     data = getattr(state, "data", state)
     return np.asarray(data, dtype=complex).ravel()
 
 
-def _popcount(values: np.ndarray) -> np.ndarray:
-    """Per-element population count (NumPy >= 2 fast path, else bit folding)."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(values)
-    counts = np.zeros_like(values)
-    remaining = values.copy()
-    while np.any(remaining):
-        counts += remaining & 1
-        remaining >>= 1
-    return counts
-
-
-class CompiledPauliOperator:
-    """Precompiled bit-flip/sign tables for vectorized Pauli evaluation.
+class _TermEvaluator:
+    """Term bookkeeping and the evaluation interface both evaluators share.
 
     Parameters
     ----------
@@ -126,48 +87,25 @@ class CompiledPauliOperator:
         *,
         num_qubits: int | None = None,
     ) -> None:
-        terms, num_qubits, real_coefficients = _coerce_terms(
-            paulis, coefficients, num_qubits
-        )
-        if not 1 <= num_qubits <= _MAX_COMPILED_QUBITS:
-            raise ValueError(
-                f"num_qubits must be in [1, {_MAX_COMPILED_QUBITS}], got {num_qubits}"
-            )
+        terms = tuple(p if isinstance(p, PauliString) else PauliString(p) for p in paulis)
+        if terms:
+            num_qubits = terms[0].num_qubits
+            if any(pauli.num_qubits != num_qubits for pauli in terms):
+                raise ValueError("all terms must share the qubit count")
+        elif num_qubits is None:
+            raise ValueError("num_qubits required for an empty term list")
+        if coefficients is None:
+            coefficients = np.zeros(len(terms))
+        real_coefficients = np.asarray(coefficients, dtype=complex).real.astype(float)
+        if real_coefficients.shape != (len(terms),):
+            raise ValueError("coefficients must align with the term list")
         self._paulis = terms
-        self._num_qubits = num_qubits
+        self._num_qubits = int(num_qubits)
         self._coefficients = real_coefficients
-
-        dim = 1 << self._num_qubits
-        num_terms = len(terms)
-        flip_masks = np.zeros(num_terms, dtype=np.int64)
-        phase_masks = np.zeros(num_terms, dtype=np.int64)
-        y_counts = np.zeros(num_terms, dtype=np.int64)
-        weights = np.zeros(num_terms, dtype=np.int64)
-        for t, pauli in enumerate(terms):
-            for qubit, op in enumerate(pauli.label):
-                if op == "I":
-                    continue
-                bit = 1 << (self._num_qubits - 1 - qubit)  # qubit 0 is the MSB
-                weights[t] += 1
-                if op in ("X", "Y"):
-                    flip_masks[t] |= bit
-                if op in ("Y", "Z"):
-                    phase_masks[t] |= bit
-                if op == "Y":
-                    y_counts[t] += 1
-
-        indices = np.arange(dim, dtype=np.int64)
-        self._indices = indices
-        # perm[t, b] = b XOR flip_mask_t : where amplitude b is sent by term t.
-        self._perm = indices[None, :] ^ flip_masks[:, None]
-        # signs[t, b] = (-1)^popcount(b & phase_mask_t).
-        parity = _popcount(indices[None, :] & phase_masks[:, None]) & 1
-        self._signs = 1.0 - 2.0 * parity.astype(float)
-        self._prefactors = np.power(1j, y_counts)
-        self._weights = weights
-        self._identity_mask = weights == 0
+        self._weights = np.array([pauli.weight for pauli in terms], dtype=np.int64)
+        self._identity_mask = self._weights == 0
         self._num_measured_terms = int(
-            np.count_nonzero(~self._identity_mask & (self._coefficients != 0))
+            np.count_nonzero(~self._identity_mask & (real_coefficients != 0))
         )
 
     # -- properties -----------------------------------------------------------
@@ -205,31 +143,19 @@ class CompiledPauliOperator:
         """Terms that cost shots: non-identity with nonzero coefficient."""
         return self._num_measured_terms
 
-    @classmethod
-    def from_operator(cls, operator: PauliOperator) -> "CompiledPauliOperator":
-        """Compile every term of ``operator`` (insertion order, zeros kept)."""
-        paulis = operator.paulis()
-        coefficients = [operator.coefficient(p) for p in paulis]
-        return cls(paulis, coefficients, num_qubits=operator.num_qubits)
-
     # -- evaluation -----------------------------------------------------------
 
     def expectation_values(self, state) -> np.ndarray:
-        """``<psi|P_t|psi>`` for every term, in one vectorized pass.
+        """``<psi|P_t|psi>`` for every term, aligned with :attr:`paulis`.
 
         ``state`` may be a :class:`~repro.quantum.statevector.Statevector` or
-        any array-like of 2^n amplitudes.  Returns a float vector aligned with
-        :attr:`paulis`.
+        any array-like of 2^n amplitudes.
         """
-        psi = _as_amplitudes(state)
-        if psi.size != self._indices.size:
-            raise ValueError(
-                f"state has {psi.size} amplitudes, engine expects {self._indices.size}"
-            )
-        if not self._paulis:
-            return np.zeros(0)
-        gathered = np.conj(psi)[self._perm] * self._signs
-        return np.real(self._prefactors * (gathered @ psi))
+        raise NotImplementedError
+
+    def expectation_values_density(self, rho: np.ndarray) -> np.ndarray:
+        """``tr(rho P_t)`` for every term, from a dense density matrix."""
+        raise NotImplementedError
 
     def expectation_values_batch(self, states) -> np.ndarray:
         """Term values for several states: shape ``(num_states, num_terms)``.
@@ -247,6 +173,49 @@ class CompiledPauliOperator:
         """``<psi|H|psi>`` using the compiled coefficients."""
         return float(self._coefficients @ self.expectation_values(state))
 
+
+class CompiledPauliOperator(_TermEvaluator):
+    """Precompiled bit-flip/sign tables for vectorized Pauli evaluation.
+
+    Takes the :class:`_TermEvaluator` parameters; the tables come from each
+    term's :attr:`~repro.quantum.pauli.PauliString.symplectic` masks.
+    """
+
+    def __init__(
+        self,
+        paulis: Iterable[PauliString | str],
+        coefficients: Sequence[complex] | np.ndarray | None = None,
+        *,
+        num_qubits: int | None = None,
+    ) -> None:
+        super().__init__(paulis, coefficients, num_qubits=num_qubits)
+        if not 1 <= self._num_qubits <= _MAX_COMPILED_QUBITS:
+            raise ValueError(
+                f"num_qubits must be in [1, {_MAX_COMPILED_QUBITS}], got {self._num_qubits}"
+            )
+        masks = np.array([pauli.symplectic for pauli in self._paulis], dtype=np.int64)
+        flip_masks, phase_masks, y_counts = masks.reshape(len(self._paulis), 3).T
+        indices = np.arange(1 << self._num_qubits, dtype=np.int64)
+        self._indices = indices
+        # perm[t, b] = b XOR flip_mask_t : where amplitude b is sent by term t.
+        self._perm = indices[None, :] ^ flip_masks[:, None]
+        # signs[t, b] = (-1)^popcount(b & phase_mask_t).
+        parity = _popcount(indices[None, :] & phase_masks[:, None]) & 1
+        self._signs = 1.0 - 2.0 * parity.astype(float)
+        self._prefactors = np.power(1j, y_counts)
+
+    def expectation_values(self, state) -> np.ndarray:
+        """``<psi|P_t|psi>`` for every term, in one vectorized pass."""
+        psi = _as_amplitudes(state)
+        if psi.size != self._indices.size:
+            raise ValueError(
+                f"state has {psi.size} amplitudes, engine expects {self._indices.size}"
+            )
+        if not self._paulis:
+            return np.zeros(0)
+        gathered = np.conj(psi)[self._perm] * self._signs
+        return np.real(self._prefactors * (gathered @ psi))
+
     def expectation_values_density(self, rho: np.ndarray) -> np.ndarray:
         """``tr(rho P_t)`` for every term, from a dense density matrix.
 
@@ -263,41 +232,13 @@ class CompiledPauliOperator:
         return np.real(self._prefactors * gathered.sum(axis=1))
 
 
-class _PerTermPauliEvaluator:
+class _PerTermPauliEvaluator(_TermEvaluator):
     """Per-term fallback with the :class:`CompiledPauliOperator` interface.
 
     Used above :data:`_MAX_COMPILED_QUBITS`, where the compiled O(terms × 2^n)
     tables would dwarf the statevector itself.  Evaluation loops over terms
     (each term is still a vectorized NumPy pass over the amplitudes).
     """
-
-    def __init__(
-        self,
-        paulis: Iterable[PauliString | str],
-        coefficients: Sequence[complex] | np.ndarray | None = None,
-        *,
-        num_qubits: int | None = None,
-    ) -> None:
-        terms, num_qubits, real_coefficients = _coerce_terms(
-            paulis, coefficients, num_qubits
-        )
-        self._paulis = terms
-        self._num_qubits = num_qubits
-        self._coefficients = real_coefficients
-        weights = np.array([p.weight for p in terms], dtype=np.int64)
-        self._weights = weights
-        self._identity_mask = weights == 0
-        self._num_measured_terms = int(
-            np.count_nonzero(~self._identity_mask & (self._coefficients != 0))
-        )
-
-    num_qubits = property(lambda self: self._num_qubits)
-    num_terms = property(lambda self: len(self._paulis))
-    paulis = property(lambda self: self._paulis)
-    coefficients = property(lambda self: self._coefficients.copy())
-    weights = property(lambda self: self._weights.copy())
-    identity_mask = property(lambda self: self._identity_mask.copy())
-    num_measured_terms = property(lambda self: self._num_measured_terms)
 
     def expectation_values(self, state) -> np.ndarray:
         from .statevector import apply_pauli_string  # deferred: cycle-free at call time
@@ -315,20 +256,15 @@ class _PerTermPauliEvaluator:
             ]
         )
 
-    def expectation_values_batch(self, states) -> np.ndarray:
-        rows = [_as_amplitudes(state) for state in states]
-        out = np.zeros((len(rows), self.num_terms))
-        for s, psi in enumerate(rows):
-            out[s] = self.expectation_values(psi)
-        return out
-
-    def expectation(self, state) -> float:
-        return float(self._coefficients @ self.expectation_values(state))
-
     def expectation_values_density(self, rho: np.ndarray) -> np.ndarray:
+        # tr(rho P) = sum_b rho[b, b ^ f] P[b ^ f, b]: one O(2^n) gather per term.
         rho = np.asarray(rho, dtype=complex)
+        columns = np.arange(rho.shape[0])
         return np.array(
-            [np.trace(rho @ pauli.to_matrix()).real for pauli in self._paulis]
+            [
+                np.sum(rho[columns, columns ^ pauli.symplectic[0]] * pauli.column_values()).real
+                for pauli in self._paulis
+            ]
         )
 
 

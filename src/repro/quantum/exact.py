@@ -3,7 +3,7 @@
 The paper's fidelity metric (§7.2) needs the true ground-state energy E_gs of
 every task Hamiltonian.  Small systems are diagonalised densely; larger ones
 use sparse Lanczos (``scipy.sparse.linalg.eigsh``) on a sparse matrix built
-term-by-term from the Pauli decomposition.
+from the Pauli terms' flip/phase masks.
 """
 
 from __future__ import annotations
@@ -14,19 +14,12 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from .pauli import PauliOperator, PauliString
+from .pauli import PauliOperator
 from .statevector import Statevector
 
 __all__ = ["GroundStateResult", "ground_state", "ground_state_energy", "pauli_to_sparse"]
 
 _DENSE_QUBIT_LIMIT = 10
-
-_SPARSE_SINGLE = {
-    "I": sparse.identity(2, format="csr", dtype=complex),
-    "X": sparse.csr_matrix(np.array([[0, 1], [1, 0]], dtype=complex)),
-    "Y": sparse.csr_matrix(np.array([[0, -1j], [1j, 0]], dtype=complex)),
-    "Z": sparse.csr_matrix(np.array([[1, 0], [0, -1]], dtype=complex)),
-}
 
 
 @dataclass(frozen=True)
@@ -43,22 +36,18 @@ class GroundStateResult:
 
 
 def pauli_to_sparse(operator: PauliOperator) -> sparse.csr_matrix:
-    """Sparse CSR matrix of a Pauli operator."""
-    dim = 2 ** operator.num_qubits
-    total = sparse.csr_matrix((dim, dim), dtype=complex)
-    for pauli, coeff in operator.items():
-        if coeff == 0:
-            continue
-        term = _sparse_pauli_string(pauli)
-        total = total + coeff * term
-    return total.tocsr()
-
-
-def _sparse_pauli_string(pauli: PauliString) -> sparse.csr_matrix:
-    matrix = sparse.identity(1, format="csr", dtype=complex)
-    for label in pauli.label:
-        matrix = sparse.kron(matrix, _SPARSE_SINGLE[label], format="csr")
-    return matrix
+    """Sparse CSR matrix of a Pauli operator, one 2^n diagonal band per
+    distinct flip mask (see :meth:`PauliOperator.flip_groups`)."""
+    dim = 1 << operator.num_qubits
+    groups = operator.flip_groups()
+    if not groups:
+        return sparse.csr_matrix((dim, dim), dtype=complex)
+    columns = np.arange(dim)
+    rows = np.concatenate([columns ^ flip for flip in groups])
+    values = np.concatenate(list(groups.values()))
+    return sparse.csr_matrix(
+        (values, (rows, np.tile(columns, len(groups)))), shape=(dim, dim)
+    )
 
 
 def ground_state(operator: PauliOperator, *, compute_gap: bool = False) -> GroundStateResult:
@@ -75,25 +64,17 @@ def ground_state(operator: PauliOperator, *, compute_gap: bool = False) -> Groun
         return GroundStateResult(energy=0.0, statevector=state, gap=0.0 if compute_gap else None)
 
     if operator.num_qubits <= _DENSE_QUBIT_LIMIT:
-        matrix = operator.to_matrix()
-        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-        energy = float(eigenvalues[0])
-        vector = eigenvectors[:, 0]
-        has_gap = compute_gap and len(eigenvalues) > 1
-        gap = float(eigenvalues[1] - eigenvalues[0]) if has_gap else None
+        eigenvalues, eigenvectors = np.linalg.eigh(operator.to_matrix())
     else:
-        matrix = pauli_to_sparse(operator)
         k = 2 if compute_gap else 1
-        eigenvalues, eigenvectors = eigsh(matrix, k=k, which="SA")
+        eigenvalues, eigenvectors = eigsh(pauli_to_sparse(operator), k=k, which="SA")
         order = np.argsort(eigenvalues)
-        eigenvalues = eigenvalues[order]
-        eigenvectors = eigenvectors[:, order]
-        energy = float(eigenvalues[0])
-        vector = eigenvectors[:, 0]
-        has_gap = compute_gap and len(eigenvalues) > 1
-        gap = float(eigenvalues[1] - eigenvalues[0]) if has_gap else None
-
-    return GroundStateResult(energy=energy, statevector=Statevector(vector), gap=gap)
+        eigenvalues, eigenvectors = eigenvalues[order], eigenvectors[:, order]
+    has_gap = compute_gap and len(eigenvalues) > 1
+    gap = float(eigenvalues[1] - eigenvalues[0]) if has_gap else None
+    return GroundStateResult(
+        energy=float(eigenvalues[0]), statevector=Statevector(eigenvectors[:, 0]), gap=gap
+    )
 
 
 def ground_state_energy(operator: PauliOperator) -> float:

@@ -44,9 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import QuantumCircuit
-from .engine import _popcount
 from .gates import gate_matrix
-from .pauli import PauliOperator, PauliString
+from .pauli import PauliOperator, PauliString, _popcount
 from .program import apply_gate_batched
 
 __all__ = [

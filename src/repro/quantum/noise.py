@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pauli import PauliString, pauli_matrix
+
 __all__ = [
     "KrausChannel",
     "depolarizing_channel",
@@ -36,10 +38,7 @@ __all__ = [
     "global_depolarizing_expectation",
 ]
 
-_I = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_I, _X, _Y, _Z = (pauli_matrix(label) for label in "IXYZ")
 
 
 @dataclass(frozen=True)
@@ -117,12 +116,11 @@ def two_qubit_depolarizing_channel(probability: float) -> KrausChannel:
     """Two-qubit depolarising channel (uniform over the 15 non-identity Paulis)."""
     _validate_probability(probability)
     p = probability
-    paulis = [_I, _X, _Y, _Z]
     operators = []
-    for i, left in enumerate(paulis):
-        for j, right in enumerate(paulis):
-            weight = 1 - 15 * p / 16 if (i, j) == (0, 0) else p / 16
-            operators.append(np.sqrt(weight) * np.kron(left, right))
+    for left in "IXYZ":
+        for right in "IXYZ":
+            weight = 1 - 15 * p / 16 if left + right == "II" else p / 16
+            operators.append(np.sqrt(weight) * PauliString(left + right).to_matrix())
     return KrausChannel("two_qubit_depolarizing", tuple(operators), 2)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,13 @@ _PAULI_MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+# Symplectic encoding tables: a label read as binary digits gives the flip
+# mask (X/Y) and the phase mask (Y/Z), qubit 0 as the most significant bit.
+_FLIP_DIGITS = str.maketrans("IXYZ", "0110")
+_PHASE_DIGITS = str.maketrans("IXYZ", "0011")
+# i^{n_Y} for n_Y mod 4, written out so every matrix entry is exact.
+_Y_PHASES = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
+
 # Single-qubit Pauli multiplication table: (left, right) -> (phase, result).
 _PAULI_PRODUCT = {
     ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
@@ -32,6 +40,18 @@ _PAULI_PRODUCT = {
     ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
     ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
 }
+
+
+def _popcount(values: np.ndarray) -> np.ndarray:
+    """Per-element population count (NumPy >= 2 fast path, else bit folding)."""
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(values)
+    counts = np.zeros_like(values)
+    remaining = values.copy()
+    while np.any(remaining):
+        counts += remaining & 1
+        remaining >>= 1
+    return counts
 
 
 def pauli_matrix(label: str) -> np.ndarray:
@@ -76,6 +96,30 @@ class PauliString:
     def is_identity(self) -> bool:
         """True if every factor is the identity."""
         return self.weight == 0
+
+    @cached_property
+    def symplectic(self) -> tuple[int, int, int]:
+        """``(flip_mask, phase_mask, n_y)``, with qubit 0 as the most significant bit.
+
+        The string acts on a computational basis state as
+        ``P|b> = i^{n_y} (-1)^{popcount(b & phase_mask)} |b ^ flip_mask>``;
+        every matrix builder and the expectation engine read this encoding.
+        """
+        return (
+            int(self.label.translate(_FLIP_DIGITS), 2),
+            int(self.label.translate(_PHASE_DIGITS), 2),
+            self.label.count("Y"),
+        )
+
+    def column_values(self) -> np.ndarray:
+        """The one nonzero entry of each column: ``P[b ^ flip_mask, b]``.
+
+        Allocates 2^n; small n only.
+        """
+        _, phase, n_y = self.symplectic
+        columns = np.arange(1 << self.num_qubits)
+        signs = 1.0 - 2.0 * (_popcount(columns & phase) & 1)
+        return _Y_PHASES[n_y % 4] * signs
 
     def support(self) -> tuple[int, ...]:
         """Indices of qubits on which the string acts non-trivially."""
@@ -125,16 +169,19 @@ class PauliString:
     def commutes_with(self, other: "PauliString") -> bool:
         """True if the two strings commute (they anti-commute otherwise)."""
         self._check_compatible(other)
-        anti = 0
-        for a, b in zip(self.label, other.label):
-            if a != "I" and b != "I" and a != b:
-                anti += 1
-        return anti % 2 == 0
+        return self._anticommuting_qubits(other).bit_count() % 2 == 0
 
     def qubit_wise_commutes_with(self, other: "PauliString") -> bool:
         """True if on every qubit the factors are equal or one is identity."""
         self._check_compatible(other)
-        return all(a == b or a == "I" or b == "I" for a, b in zip(self.label, other.label))
+        return self._anticommuting_qubits(other) == 0
+
+    def _anticommuting_qubits(self, other: "PauliString") -> int:
+        """Mask of the qubits whose two factors anticommute (the per-qubit
+        symplectic product ``f1·z2 + z1·f2``)."""
+        flip, phase, _ = self.symplectic
+        other_flip, other_phase, _ = other.symplectic
+        return (flip & other_phase) ^ (phase & other_flip)
 
     def multiply(self, other: "PauliString") -> tuple[complex, "PauliString"]:
         """Return ``(phase, string)`` such that self * other = phase * string."""
@@ -149,10 +196,7 @@ class PauliString:
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix representation (2^n x 2^n).  Use only for small n."""
-        matrix = np.array([[1.0 + 0j]])
-        for label in self.label:
-            matrix = np.kron(matrix, _PAULI_MATRICES[label])
-        return matrix
+        return PauliOperator(self.num_qubits, {self: 1.0}).to_matrix()
 
     def expand(self, num_qubits: int) -> "PauliString":
         """Pad with identities on the right up to ``num_qubits`` qubits."""
@@ -381,12 +425,31 @@ class PauliOperator:
 
     # -- dense/exact helpers ---------------------------------------------------
 
+    def flip_groups(self) -> dict[int, np.ndarray]:
+        """The operator as one 2^n value column per distinct flip mask.
+
+        ``H[b ^ f, b] = flip_groups()[f][b]``; each column sums its terms in
+        insertion order from +0, exactly as the Kronecker-product sum would,
+        so matrices built from it are bitwise-equal to that sum.
+        Zero-coefficient terms are left out.
+        """
+        groups: dict[int, np.ndarray] = {}
+        for pauli, coeff in self._terms.items():
+            if coeff == 0:
+                continue
+            flip = pauli.symplectic[0]
+            if flip not in groups:
+                groups[flip] = np.zeros(1 << self._num_qubits, dtype=complex)
+            groups[flip] += coeff * pauli.column_values()
+        return groups
+
     def to_matrix(self) -> np.ndarray:
         """Dense matrix (2^n x 2^n).  Only intended for n <= ~12."""
-        dim = 2 ** self._num_qubits
+        dim = 1 << self._num_qubits
         matrix = np.zeros((dim, dim), dtype=complex)
-        for pauli, coeff in self._terms.items():
-            matrix += coeff * pauli.to_matrix()
+        columns = np.arange(dim)
+        for flip, values in self.flip_groups().items():
+            matrix[columns ^ flip, columns] = values
         return matrix
 
     def expectation(self, statevector: np.ndarray) -> float:

@@ -64,9 +64,9 @@ from .backend import (
     resolve_program_request,
 )
 from .circuit import QuantumCircuit
-from .engine import _popcount, compiled_pauli_operator
+from .engine import compiled_pauli_operator
 from .gates import gate_matrix
-from .pauli import PauliOperator, pauli_matrix
+from .pauli import PauliOperator, _popcount, pauli_matrix
 from .program import _CONST, _SLOT, CircuitProgram, _evaluate_spec, program_for_bound_circuit
 
 __all__ = [

@@ -30,6 +30,30 @@ class TestLinearRegressionSlope:
 
 
 class TestSlopeMonitor:
+    @given(
+        st.integers(1, 11),
+        st.integers(2, 40),
+        st.integers(0, 60),
+        st.integers(0, 2 ** 32 - 1),
+        st.floats(-12, 12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_report_is_bitwise_the_scalar_slopes(self, tasks, window, steps, seed, log_scale):
+        # Window sizes reach past 16 so the row reductions cross NumPy's
+        # unrolled-summation block boundaries.
+        rng = np.random.default_rng(seed)
+        monitor = SlopeMonitor(tasks, window, warmup_iterations=0)
+        history = rng.normal(size=(steps, 1 + tasks)) * 10.0 ** log_scale + rng.normal()
+        for row in history:
+            monitor.record(row[0], row[1:])
+        report = monitor.report()
+        recent = history[-window:]
+        assert np.array_equal(report.mixed_slope, linear_regression_slope(recent[:, 0]))
+        assert np.array_equal(
+            report.individual_slopes,
+            [linear_regression_slope(recent[:, 1 + t]) for t in range(tasks)],
+        )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SlopeMonitor(0, 5, 2)

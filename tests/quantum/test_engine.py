@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pauli_oracle import kron_operator_matrix, kron_string_matrix
 from repro.quantum import QuantumCircuit
-from repro.quantum.engine import CompiledPauliOperator, compiled_pauli_operator
-from repro.quantum.pauli import PAULI_LABELS, PauliOperator, PauliString
+from repro.quantum import engine as engine_module
+from repro.quantum.engine import CompiledPauliOperator, compiled_pauli_operator, pauli_evaluator
+from repro.quantum.pauli import PAULI_LABELS, PauliOperator
 from repro.quantum.statevector import Statevector
 
 
@@ -45,7 +47,7 @@ class TestEngineParity:
         rng = np.random.default_rng(hash(label) % 2 ** 32)
         state = random_state(len(label), rng)
         engine = CompiledPauliOperator([label])
-        expected = np.vdot(state.data, PauliString(label).to_matrix() @ state.data).real
+        expected = np.vdot(state.data, kron_string_matrix(label) @ state.data).real
         assert engine.expectation_values(state)[0] == pytest.approx(expected, abs=1e-10)
 
     def test_matches_dense_operator_expectation(self):
@@ -53,7 +55,7 @@ class TestEngineParity:
         operator = random_operator(4, 20, rng)
         state = random_state(4, rng)
         engine = compiled_pauli_operator(operator)
-        dense = np.vdot(state.data, operator.to_matrix() @ state.data).real
+        dense = np.vdot(state.data, kron_operator_matrix(operator) @ state.data).real
         assert engine.expectation(state) == pytest.approx(dense, abs=1e-10)
         assert state.expectation(operator) == pytest.approx(dense, abs=1e-10)
 
@@ -87,6 +89,29 @@ class TestEngineParity:
         assert values[0] == pytest.approx(1.0)
         np.testing.assert_array_equal(engine.identity_mask, [True, False])
         np.testing.assert_array_equal(engine.weights, [0, 2])
+
+
+class TestPerTermFallback:
+    def test_matches_compiled_engine(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        operator = random_operator(4, 12, rng)
+        coefficients = [operator.coefficient(p) for p in operator.paulis()]
+        state = random_state(4, rng)
+        compiled = pauli_evaluator(operator.paulis(), coefficients)
+        monkeypatch.setattr(engine_module, "_MAX_COMPILED_ELEMENTS", 0)
+        fallback = pauli_evaluator(operator.paulis(), coefficients)
+        assert isinstance(fallback, engine_module._PerTermPauliEvaluator)
+        np.testing.assert_allclose(
+            fallback.expectation_values(state), compiled.expectation_values(state), atol=1e-12
+        )
+        rho = np.outer(state.data, state.data.conj())
+        np.testing.assert_allclose(
+            fallback.expectation_values_density(rho),
+            compiled.expectation_values_density(rho),
+            atol=1e-12,
+        )
+        np.testing.assert_array_equal(fallback.weights, compiled.weights)
+        assert fallback.num_measured_terms == compiled.num_measured_terms
 
 
 class TestEngineApi:

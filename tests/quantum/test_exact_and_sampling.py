@@ -49,6 +49,16 @@ class TestGroundState:
         # open 11-site chain should be in a sane range.
         assert -2.0 * 11 < result.energy < -1.0 * 11
 
+    def test_sparse_ground_state_matches_free_fermion_energy(self):
+        # The open TFIM -J sum ZZ - h sum X maps to free fermions whose
+        # single-particle energies are twice the singular values of the
+        # bidiagonal matrix with h on the diagonal and J above it.
+        sites, field, coupling = 12, 0.9, 1.0
+        bidiagonal = np.diag(np.full(sites, field)) + np.diag(np.full(sites - 1, coupling), 1)
+        closed_form = -float(np.linalg.svd(bidiagonal, compute_uv=False).sum())
+        result = ground_state(transverse_field_ising_chain(sites, field, coupling))
+        assert abs(result.energy - closed_form) <= 1e-9
+
     def test_non_hermitian_rejected(self):
         operator = PauliOperator.from_terms([("X", 1.0j)])
         with pytest.raises(ValueError):

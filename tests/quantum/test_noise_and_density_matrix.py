@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pauli_oracle import kron_operator_matrix, kron_string_matrix
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density_matrix import (
     DensityMatrix,
@@ -202,6 +203,27 @@ class TestDensityMatrix:
         simulator = DensityMatrixSimulator(NoiseModel(readout_error=0.1))
         value = simulator.expectation(circuit, operator)
         assert value == pytest.approx(-(1 - 2 * 0.1))
+
+    def test_expectation_matches_trace_against_kron_oracle(self):
+        rng = np.random.default_rng(5)
+        amplitudes = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+        rho = amplitudes @ amplitudes.conj().T
+        rho /= np.trace(rho)
+        operator = PauliOperator.from_terms(
+            [("XYZ", 0.7), ("IZZ", -1.2), ("YYI", 0.4), ("III", 0.9), ("ZXY", 0.0)]
+        )
+        oracle = np.trace(rho @ kron_operator_matrix(operator)).real
+        assert DensityMatrix(rho).expectation(operator) == pytest.approx(oracle, abs=1e-12)
+        p = 0.07
+        folded = 0.9 + sum(
+            coeff.real * (1 - 2 * p) ** pauli.weight
+            * np.trace(rho @ kron_string_matrix(pauli)).real
+            for pauli, coeff in operator.items()
+            if not pauli.is_identity
+        )
+        simulator = DensityMatrixSimulator(NoiseModel(readout_error=p))
+        value = simulator.expectation(QuantumCircuit(3), operator, DensityMatrix(rho))
+        assert value == pytest.approx(folded, abs=1e-12)
 
     def test_unbound_circuit_rejected(self):
         from repro.quantum.circuit import Parameter

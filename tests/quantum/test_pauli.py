@@ -2,14 +2,44 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pauli_oracle import kron_operator_matrix, kron_string_matrix
+from repro.hamiltonians import (
+    MolecularFamily,
+    get_molecule,
+    maxcut_minimization_hamiltonian,
+    transverse_field_ising_chain,
+)
+from repro.quantum.exact import pauli_to_sparse
 from repro.quantum.pauli import PauliOperator, PauliString, pauli_matrix, shots_per_evaluation
 
 pauli_labels = st.text(alphabet="IXYZ", min_size=1, max_size=5)
+
+#: Swapping X<->Y and I<->Z keeps a string's flip mask but changes its phase.
+_SAME_FLIP = str.maketrans("IXYZ", "ZYXI")
+_finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def pauli_operators(draw) -> PauliOperator:
+    """1-8 qubits, all four letters, complex coefficients, and terms that
+    share a flip mask (each drawn label may bring a same-flip partner)."""
+    num_qubits = draw(st.integers(1, 8))
+    labels = draw(
+        st.lists(st.text(alphabet="IXYZ", min_size=num_qubits, max_size=num_qubits),
+                 min_size=1, max_size=10)
+    )
+    labels += [label.translate(_SAME_FLIP) for label in labels if draw(st.booleans())]
+    coefficients = draw(
+        st.lists(st.builds(complex, _finite, _finite),
+                 min_size=len(labels), max_size=len(labels))
+    )
+    return PauliOperator.from_terms(zip(labels, coefficients), num_qubits=num_qubits)
 
 
 class TestPauliString:
@@ -60,8 +90,10 @@ class TestPauliString:
     def test_multiply_matches_matrices(self):
         for a, b in [("XY", "YZ"), ("ZI", "XX"), ("YY", "XZ")]:
             phase, product = PauliString(a).multiply(PauliString(b))
-            expected = PauliString(a).to_matrix() @ PauliString(b).to_matrix()
-            np.testing.assert_allclose(phase * product.to_matrix(), expected, atol=1e-12)
+            expected = kron_string_matrix(a) @ kron_string_matrix(b)
+            np.testing.assert_allclose(
+                phase * kron_string_matrix(product), expected, atol=1e-12
+            )
 
     def test_mismatched_sizes_raise(self):
         with pytest.raises(ValueError):
@@ -91,6 +123,17 @@ class TestPauliString:
         assert PauliString(a).commutes_with(PauliString(b)) == PauliString(b).commutes_with(
             PauliString(a)
         )
+
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.tuples(*[st.text(alphabet="IXYZ", min_size=n, max_size=n)] * 2)
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_commutation_matches_the_matrices(self, labels):
+        a, b = (PauliString(label) for label in labels)
+        left, right = kron_string_matrix(a), kron_string_matrix(b)
+        assert a.commutes_with(b) == np.allclose(left @ right, right @ left)
+        qubit_wise = all(x == y or "I" in (x, y) for x, y in zip(*labels))
+        assert a.qubit_wise_commutes_with(b) == qubit_wise
 
 
 class TestPauliMatrix:
@@ -141,7 +184,11 @@ class TestPauliOperator:
         a = PauliOperator.from_terms([("XI", 1.0), ("ZZ", 0.5)])
         b = PauliOperator.from_terms([("YI", 2.0), ("IX", -0.5)])
         product = a.compose(b)
-        np.testing.assert_allclose(product.to_matrix(), a.to_matrix() @ b.to_matrix(), atol=1e-12)
+        np.testing.assert_allclose(
+            kron_operator_matrix(product),
+            kron_operator_matrix(a) @ kron_operator_matrix(b),
+            atol=1e-12,
+        )
 
     def test_is_hermitian(self):
         assert PauliOperator.from_terms([("XX", 1.0)]).is_hermitian()
@@ -193,7 +240,7 @@ class TestPauliOperator:
         np.testing.assert_allclose(operator.to_matrix(), 3.0 * np.eye(4))
 
     def test_expectation_against_dense(self, bell_state, small_hamiltonian):
-        dense = small_hamiltonian.to_matrix()
+        dense = kron_operator_matrix(small_hamiltonian)
         expected = np.real(bell_state.data.conj() @ dense @ bell_state.data)
         assert small_hamiltonian.expectation(bell_state) == pytest.approx(expected)
 
@@ -213,3 +260,56 @@ class TestPauliOperator:
         operator = PauliOperator.from_terms(terms, num_qubits=size)
         matrix = operator.to_matrix()
         np.testing.assert_allclose(matrix, matrix.conj().T, atol=1e-10)
+
+
+class TestSymplecticEncoding:
+    def test_masks_put_qubit_zero_in_the_most_significant_bit(self):
+        assert PauliString("XIZY").symplectic == (0b1001, 0b0011, 1)
+        assert PauliString("IIII").symplectic == (0, 0, 0)
+        assert PauliString("YYY").symplectic == (0b111, 0b111, 3)
+
+    @given(pauli_labels)
+    @settings(max_examples=50, deadline=None)
+    def test_string_matrix_matches_kron_chain(self, label):
+        np.testing.assert_array_equal(
+            PauliString(label).to_matrix(), kron_string_matrix(label)
+        )
+
+
+class TestMatrixBuilders:
+    """Dense and sparse matrices from the masks against the kron-chain oracle."""
+
+    @given(pauli_operators())
+    @settings(max_examples=60, deadline=None)
+    def test_dense_matrix_is_bitwise_the_kron_sum(self, operator):
+        dense = operator.to_matrix()
+        assert dense.tobytes() == kron_operator_matrix(operator).tobytes()
+        np.testing.assert_allclose(
+            pauli_to_sparse(operator).toarray(), dense, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "operator",
+        [
+            MolecularFamily(get_molecule("LiH")).hamiltonian(1.2),
+            MolecularFamily(get_molecule("LiH")).hamiltonian(2.7),
+            transverse_field_ising_chain(10, 0.8),
+            maxcut_minimization_hamiltonian(
+                nx.Graph(
+                    [(0, 1, {"weight": 0.7}), (1, 2, {"weight": 1.3}),
+                     (2, 3, {"weight": 0.4}), (3, 0, {"weight": 2.1}),
+                     (0, 2, {"weight": 0.9}), (3, 4, {"weight": 1.6})]
+                )
+            ),
+        ],
+        ids=["lih-1.2", "lih-2.7", "tfim-10", "maxcut-5"],
+    )
+    def test_catalog_hamiltonians_are_bitwise_the_kron_sum(self, operator):
+        assert operator.to_matrix().tobytes() == kron_operator_matrix(operator).tobytes()
+
+    def test_zero_and_cancelling_terms(self):
+        operator = PauliOperator(2, {"XY": 0.0, "YX": 1.0, "XX": 2.0, "ZZ": 0.5})
+        assert operator.to_matrix().tobytes() == kron_operator_matrix(operator).tobytes()
+        empty = PauliOperator.zero(3)
+        assert not empty.to_matrix().any()
+        assert pauli_to_sparse(empty).nnz == 0

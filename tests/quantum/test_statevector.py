@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pauli_oracle import kron_operator_matrix, kron_string_matrix
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.pauli import PauliString
 from repro.quantum.statevector import Statevector, StatevectorSimulator, apply_pauli_string
 
 
@@ -117,7 +117,7 @@ class TestPauliApplication:
             state = state / np.linalg.norm(state)
             tensor = state.reshape(2, 2, 2)
             applied = apply_pauli_string(tensor, label).ravel()
-            expected = PauliString(label).to_matrix() @ state
+            expected = kron_string_matrix(label) @ state
             np.testing.assert_allclose(applied, expected, atol=1e-12)
 
     def test_label_length_mismatch(self):
@@ -132,7 +132,7 @@ class TestPauliApplication:
     def test_expectation_matches_dense(self, rng, small_hamiltonian):
         data = rng.normal(size=4) + 1j * rng.normal(size=4)
         state = Statevector(data / np.linalg.norm(data))
-        dense = small_hamiltonian.to_matrix()
+        dense = kron_operator_matrix(small_hamiltonian)
         expected = float(np.real(state.data.conj() @ dense @ state.data))
         assert state.expectation(small_hamiltonian) == pytest.approx(expected)
 
